@@ -83,6 +83,9 @@ class _NullSpan:
     def __exit__(self, *exc: object) -> bool:
         return False
 
+    def set(self, **args: Any) -> None:
+        pass
+
 
 _NULL_SPAN = _NullSpan()
 
@@ -150,6 +153,11 @@ class _SpanHandle:
             self._name, self._start, end - self._start, self._depth, self._args
         )
         return False
+
+    def set(self, **args: Any) -> None:
+        """Attach attributes known only once the span's work is done
+        (e.g. a solver's node count); recorded when the span closes."""
+        self._args = {**self._args, **args}
 
 
 class Tracer:

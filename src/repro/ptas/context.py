@@ -14,21 +14,27 @@ guess-independent once per solve:
 * a **window-IP outcome memo** keyed by the rounded instance's
   *signature* ``(L, m, per-class demands)`` — feasibility of the window
   IP depends on nothing else, so two guesses with equal signatures share
-  one solve (and one verdict), which is what collapses the binary
-  search's IP bill from ``O(log range)`` solves to the number of
-  *distinct* rounded instances;
+  one verdict;
 * a :class:`~repro.ptas.ip.WindowIPSkeleton` of per-class constraint
   blocks for the MILP backend, and the most recent feasible assignment
   as a branch-order ``hint`` for the backtracking backend.
 
-Canonicality: the MILP path always assembles the identical matrix (with
-or without the skeleton) and the signature fully determines it, so every
-MILP-derived assignment equals what a cold solve would return.  A
-*hinted* backtracking solve may return a different feasible assignment,
-so its bundles are marked non-canonical and
-:meth:`GuessContext.finalize` re-solves the winning guess cold — the
-realized schedule is therefore bit-for-bit the rebuild-per-guess
-driver's (:mod:`repro.algorithms.reference.eptas_rebuild`), which the
+The search is **certificate-first**: a guess needs only a yes/no
+verdict, so a fresh signature is first offered to
+:func:`~repro.ptas.ip.certify_window_ip`, a McNaughton wrap-around
+packing accepted only when
+:func:`~repro.ptas.ip.assignment_satisfies` proves it feasible.  Only on
+a miss does a solver run, and then as the paper's pure feasibility
+problem (``compress=False``).  Every verdict is exact, so the search
+visits the same guesses and stops at the same ``T*`` as deciding each
+guess cold.
+
+Canonicality: search assignments (certificates, feasibility-only or
+hinted solves) are never realized.  :meth:`GuessContext.finalize`
+re-solves the winning guess cold with the compression objective, the
+one optimisation solve per EPTAS run — so the realized schedule is
+bit-for-bit the rebuild-per-guess driver's
+(:mod:`repro.algorithms.reference.eptas_rebuild`), which the
 equivalence harness asserts.
 """
 
@@ -48,6 +54,7 @@ from repro.ptas.ip import (
     WindowAssignment,
     WindowIPSkeleton,
     assignment_satisfies,
+    certify_window_ip,
     solve_window_ip,
 )
 from repro.ptas.layers import RoundedInstance, round_instance
@@ -155,9 +162,9 @@ def _prefix_sums(values: List[int]) -> List[int]:
 class GuessBundle:
     """Everything produced for one feasible makespan guess.
 
-    ``canonical`` records whether ``assignment`` is exactly what a cold
-    (hint-free) solve of this guess's window IP returns; the driver only
-    realizes canonical bundles (see :meth:`GuessContext.finalize`).
+    During the search ``assignment`` is any feasibility proof; the
+    driver realizes only the bundle returned by
+    :meth:`GuessContext.finalize`.
     """
 
     T: int
@@ -165,7 +172,6 @@ class GuessBundle:
     simplified: SimplifiedInstance
     rounded: RoundedInstance
     assignment: WindowAssignment
-    canonical: bool = True
 
 
 class GuessContext:
@@ -190,14 +196,15 @@ class GuessContext:
         #: Guess value → decided bundle (``None`` = infeasible); the
         #: binary search never pays for the same ``T`` twice.
         self.decided: Dict[int, Optional[GuessBundle]] = {}
-        #: IP signature → (assignment | None, canonical flag).
-        self._outcomes: Dict[Signature, Tuple[Optional[WindowAssignment], bool]] = {}
+        #: IP signature → feasible assignment, or ``None`` if infeasible.
+        self._outcomes: Dict[Signature, Optional[WindowAssignment]] = {}
         #: Most recent feasible assignment — the backtracking hint.
         self._warm: Optional[WindowAssignment] = None
         self.counters: Dict[str, int] = {
             "guesses": 0,
             "guess_memo_hits": 0,
             "signature_hits": 0,
+            "certified": 0,
             "ip_solves": 0,
             "hinted_solves": 0,
             "final_resolves": 0,
@@ -236,9 +243,8 @@ class GuessContext:
             return None
 
         signature = rounded_signature(rounded)
-        cached = self._outcomes.get(signature)
-        if cached is not None:
-            assignment, canonical = cached
+        if signature in self._outcomes:
+            assignment = self._outcomes[signature]
             # The signature determines the IP completely, but the reuse
             # is still certificate-checked — a mismatch would mean the
             # signature lost information, which must fail loudly.
@@ -250,18 +256,32 @@ class GuessContext:
                     "identical IP signature"
                 )
             self.counters["signature_hits"] += 1
-            if assignment is None:
-                return None
-            self._warm = assignment
-            return GuessBundle(
-                T=T,
-                params=params,
-                simplified=simplified,
-                rounded=rounded,
-                assignment=assignment,
-                canonical=canonical,
-            )
+        else:
+            assignment = self._certify_or_solve(T, rounded)
+            self._outcomes[signature] = assignment
+        if assignment is None:
+            return None
+        self._warm = assignment
+        return GuessBundle(
+            T=T,
+            params=params,
+            simplified=simplified,
+            rounded=rounded,
+            assignment=assignment,
+        )
 
+    def _certify_or_solve(
+        self, T: int, rounded: RoundedInstance
+    ) -> Optional[WindowAssignment]:
+        """The exact verdict on a fresh signature: the constructive
+        certificate, else a feasibility-only solver call."""
+        tracer = get_tracer()
+        with tracer.span("eptas.certify", T=T) as span:
+            assignment = certify_window_ip(rounded)
+            span.set(hit=assignment is not None)
+        if assignment is not None:
+            self.counters["certified"] += 1
+            return assignment
         hinted = self._resolved_backend() == "backtracking" and (
             self._warm is not None
         )
@@ -275,40 +295,24 @@ class GuessContext:
                 layers=rounded.grid.num_layers,
                 hinted=hinted,
             ):
-                assignment = solve_window_ip(
+                return solve_window_ip(
                     rounded,
                     backend=self.ip_backend,
                     hint=self._warm,
                     skeleton=self.skeleton,
+                    compress=False,
                 )
         except InfeasibleError:
-            self._outcomes[signature] = (None, True)
             return None
-        # A hinted backtracking solve may find a non-canonical (still
-        # feasible) assignment; the MILP matrix is signature-determined,
-        # so its solves are always canonical.
-        canonical = not hinted
-        self._outcomes[signature] = (assignment, canonical)
-        self._warm = assignment
-        return GuessBundle(
-            T=T,
-            params=params,
-            simplified=simplified,
-            rounded=rounded,
-            assignment=assignment,
-            canonical=canonical,
-        )
 
     def finalize(self, bundle: GuessBundle) -> GuessBundle:
-        """Make the winning bundle canonical before realization.
+        """The winning bundle with its canonical assignment.
 
-        Intermediate guesses only need feasibility *verdicts*, so warm
-        starts may return any feasible assignment; the schedule the
-        driver realizes must be the cold solve's.  Re-solves hint-free
-        when (and only when) the bundle is non-canonical.
+        Search guesses only need feasibility *verdicts*, so their
+        assignments are whatever proof came first; the schedule the
+        driver realizes must be the cold compression solve's.  This is
+        the one optimisation solve of an EPTAS run.
         """
-        if bundle.canonical:
-            return bundle
         self.counters["final_resolves"] += 1
         with get_tracer().span(
             "eptas.ip_solve", T=bundle.T, final_resolve=True
@@ -317,11 +321,7 @@ class GuessContext:
                 bundle.rounded, backend=self.ip_backend,
                 skeleton=self.skeleton,
             )
-        self._outcomes[rounded_signature(bundle.rounded)] = (assignment, True)
-        self._warm = assignment
-        finalized = replace(bundle, assignment=assignment, canonical=True)
-        self.decided[bundle.T] = finalized
-        return finalized
+        return replace(bundle, assignment=assignment)
 
     # ------------------------------------------------------------------ #
     def _resolved_backend(self) -> str:

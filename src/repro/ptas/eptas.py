@@ -10,10 +10,12 @@ makespan ``(1 + O(ε)) · T* ≤ (1 + O(ε)) · OPT``.
 
 The search is *incremental* (:mod:`repro.ptas.context`): one
 :class:`~repro.ptas.context.GuessContext` per solve caches the sorted
-instance profile, the per-class IP constraint blocks, and — decisively —
-the window-IP verdict per rounded-instance signature, so guesses whose
-rounded instances coincide share a single IP solve.  The schedule is
-identical to deciding every guess from scratch (the preserved
+instance profile, the per-class IP constraint blocks and the window-IP
+verdict per rounded-instance signature.  A fresh signature is decided by
+a constructive certificate first and by a feasibility-only solver call
+only when that misses; the compression MILP runs once, for the winning
+guess.  The schedule is identical to deciding every guess from scratch
+(the preserved
 rebuild-per-guess driver,
 :mod:`repro.algorithms.reference.eptas_rebuild`, is the equivalence
 reference); ``stats["incremental"]`` reports the reuse counters.
@@ -174,9 +176,10 @@ def schedule_eptas(
                 else:
                     lo = mid
 
-            # Warm-started verdicts are exact, but a hinted assignment
-            # may differ from the cold solve's; realize the canonical
-            # one so the schedule is bit-for-bit the rebuild driver's.
+            # Search verdicts are exact, but their assignments are
+            # certificates or feasibility-only solves; realize the cold
+            # compression solve so the schedule is bit-for-bit the
+            # rebuild driver's.
             bundle = ctx.finalize(bundle)
 
         with tracer.span("eptas.reinsert", T=bundle.T):

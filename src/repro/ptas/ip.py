@@ -13,11 +13,18 @@ multiset exist *iff* every layer is covered at most ``m`` times.  Hence:
 * (4) per class and layer: at most one covering window (resource conflict);
 * (1)+(2) collapsed: per layer, at most ``m`` covering windows.
 
-Feasibility is decided exactly — by HiGHS branch & bound
-(``scipy.optimize.milp``), substituting for the paper's N-fold solver, or by
-a pure-Python backtracking search used for cross-checks and environments
-without SciPy.  The machine patterns are recovered afterwards by greedy
-interval coloring (:mod:`repro.ptas.coloring`).
+Deciding a makespan guess is certificate-first:
+:func:`certify_window_ip` builds a McNaughton wrap-around packing and
+returns it only when :func:`assignment_satisfies` accepts it, which
+proves feasibility without a solver.  When it misses, feasibility is
+decided exactly — by HiGHS branch & bound (``scipy.optimize.milp``,
+substituting for the paper's N-fold solver) as the paper's pure
+feasibility problem (``compress=False``), or by a pure-Python
+backtracking search used for cross-checks and environments without
+SciPy.  The compression objective (``compress=True``) is an
+optimisation on top of feasibility; the EPTAS runs it once, for the
+winning guess only.  The machine patterns are recovered afterwards by
+greedy interval coloring (:mod:`repro.ptas.coloring`).
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.errors import InfeasibleError, PreconditionError
+from repro.obs import get_tracer
 from repro.ptas.layers import RoundedInstance
 
 try:
@@ -42,6 +50,7 @@ __all__ = [
     "WindowAssignment",
     "WindowIPSkeleton",
     "assignment_satisfies",
+    "certify_window_ip",
     "solve_window_ip",
     "solve_window_ip_milp",
     "solve_window_ip_backtracking",
@@ -89,9 +98,9 @@ def assignment_satisfies(
     (constraint (3)), every window lies within the ``L``-layer horizon,
     no two windows of one class overlap (constraint (4)), and no layer
     is covered more than ``m`` times (constraints (1)+(2)).  ``O(W + L)``
-    — this is the certificate-reuse primitive of the incremental EPTAS:
-    a previous guess's feasible assignment whose demands still match
-    proves the new guess feasible without touching a solver.
+    — this is the proof check of the incremental EPTAS: it accepts
+    :func:`certify_window_ip` packings and re-checks memoized
+    assignments, so neither needs a solver.
     """
     L = rounded.grid.num_layers
     m = rounded.num_machines
@@ -120,6 +129,59 @@ def assignment_satisfies(
         if load > m:
             return False
     return True
+
+
+def certify_window_ip(
+    rounded: RoundedInstance,
+) -> Optional[WindowAssignment]:
+    """A solver-free feasibility certificate, or ``None`` on a miss.
+
+    McNaughton's wrap-around rule at window granularity: the ``m``
+    machine rows of ``L`` layers are filled one after another, classes
+    in decreasing unit total (ties by class id).  On each row a class
+    places every remaining window that still fits (longest first), and
+    the rest wrap to the start of the next row.  One row never holds
+    two overlapping windows, so at most ``m`` windows cover a layer; a
+    class split across a row break conflicts with itself only when its
+    two parts overlap in time.  The packing is accepted only when
+    :func:`assignment_satisfies` holds, so a returned assignment is an
+    exact proof of feasibility.  ``None`` proves nothing — the caller
+    falls back to a solver.
+    """
+    L = rounded.grid.num_layers
+    m = rounded.num_machines
+    totals = {
+        cid: sum(u * n for u, n in counts.items())
+        for cid, counts in rounded.unit_counts.items()
+    }
+    assignment = WindowAssignment()
+    row, pos = 0, 0
+    for cid in sorted(totals, key=lambda c: (-totals[c], c)):
+        pending = sorted(
+            (u for u, n in rounded.unit_counts[cid].items() for _ in range(n)),
+            reverse=True,
+        )
+        wins: List[Window] = []
+        while pending:
+            if row == m:
+                return None
+            deferred = []
+            for u in pending:
+                if pos + u <= L:
+                    wins.append((pos, u))
+                    pos += u
+                else:
+                    deferred.append(u)
+            if deferred:
+                if len(deferred) == len(pending) and pos == 0:
+                    return None  # a window longer than the horizon
+                row, pos = row + 1, 0
+            pending = deferred
+        if wins:
+            assignment.windows[cid] = sorted(wins)
+    if not assignment_satisfies(rounded, assignment):
+        return None
+    return assignment
 
 
 class _ClassBlock:
@@ -201,8 +263,9 @@ def solve_window_ip_milp(
 
     ``compress=True`` (default) minimizes the total window completion
     ``Σ(ℓ+u)·y`` so the layered schedule packs toward time zero;
-    ``compress=False`` reproduces the paper's pure feasibility problem
-    (the ablation benchmark measures the difference).
+    ``compress=False`` reproduces the paper's pure feasibility problem,
+    which is all a binary-search verdict needs (the EPTAS search falls
+    back to it when :func:`certify_window_ip` misses).
 
     ``skeleton`` reuses per-class constraint blocks across calls (the
     incremental EPTAS passes one per solve).  The assembled matrix is
@@ -238,6 +301,54 @@ def solve_window_ip_milp(
         # the empty window assignment is trivially feasible.
         return WindowAssignment()
 
+    tracer = get_tracer()
+    with tracer.span("eptas.ip_assemble", nvar=nvar) as span:
+        A, row_lb, row_ub, hi, objective = _assemble_milp(
+            blocks, nvar, L, m, compress
+        )
+        span.set(rows=A.shape[0], nnz=A.nnz)
+    with tracer.span(
+        "eptas.ip_milp", nvar=nvar, rows=A.shape[0], nnz=A.nnz,
+        compress=compress,
+    ) as span:
+        result = milp(
+            c=objective,
+            constraints=LinearConstraint(A, row_lb, row_ub),
+            bounds=Bounds(np.zeros(nvar), hi),
+            integrality=np.ones(nvar),
+        )
+        span.set(
+            status=result.status,
+            mip_node_count=getattr(result, "mip_node_count", None),
+            mip_gap=getattr(result, "mip_gap", None),
+        )
+    if result.status == 2 or result.x is None:
+        raise InfeasibleError("window IP infeasible")
+    if result.status != 0:  # pragma: no cover - solver failure
+        raise InfeasibleError(
+            f"window IP solver status {result.status}: {result.message}"
+        )
+
+    assignment = WindowAssignment()
+    for cid, counts, block, offset in blocks:
+        for local, (u, start) in enumerate(block.keys):
+            count = int(round(result.x[offset + local]))
+            for _ in range(count):
+                assignment.windows.setdefault(cid, []).append((start, u))
+    for wins in assignment.windows.values():
+        wins.sort()
+    return assignment
+
+
+def _assemble_milp(
+    blocks: List[Tuple[int, Dict[int, int], _ClassBlock, int]],
+    nvar: int,
+    L: int,
+    m: int,
+    compress: bool,
+):
+    """The sparse constraint matrix, row bounds, variable upper bounds
+    and objective of the window IP over the per-class ``blocks``."""
     rows: List[int] = []
     cols: List[int] = []
     vals: List[float] = []
@@ -296,28 +407,7 @@ def solve_window_ip_milp(
     else:
         objective = np.zeros(nvar)
     A = sparse.csr_matrix((vals, (rows, cols)), shape=(row, nvar))
-    result = milp(
-        c=objective,
-        constraints=LinearConstraint(A, row_lb, row_ub),
-        bounds=Bounds(np.zeros(nvar), hi),
-        integrality=np.ones(nvar),
-    )
-    if result.status == 2 or result.x is None:
-        raise InfeasibleError("window IP infeasible")
-    if result.status != 0:  # pragma: no cover - solver failure
-        raise InfeasibleError(
-            f"window IP solver status {result.status}: {result.message}"
-        )
-
-    assignment = WindowAssignment()
-    for cid, counts, block, offset in blocks:
-        for local, (u, start) in enumerate(block.keys):
-            count = int(round(result.x[offset + local]))
-            for _ in range(count):
-                assignment.windows.setdefault(cid, []).append((start, u))
-    for wins in assignment.windows.values():
-        wins.sort()
-    return assignment
+    return A, row_lb, row_ub, hi, objective
 
 
 def solve_window_ip_backtracking(
@@ -425,19 +515,21 @@ def solve_window_ip(
     backend: str = "auto",
     hint: Optional[WindowAssignment] = None,
     skeleton: Optional[WindowIPSkeleton] = None,
+    compress: bool = True,
 ) -> WindowAssignment:
     """Dispatch to a backend (``"milp"``, ``"backtracking"``, ``"auto"``).
 
     ``hint`` warm-starts the backtracking backend (branch reorder only);
-    ``skeleton`` reuses cached constraint blocks in the MILP backend.
-    Each is ignored by the other backend, so callers can pass both.
+    ``skeleton`` and ``compress`` (the compression objective, see
+    :func:`solve_window_ip_milp`) apply to the MILP backend only.  Each
+    is ignored by the other backend, so callers can pass all of them.
     """
+    if backend == "auto":
+        backend = "milp" if _HAVE_MILP else "backtracking"
     if backend == "milp":
-        return solve_window_ip_milp(rounded, skeleton=skeleton)
+        return solve_window_ip_milp(
+            rounded, compress=compress, skeleton=skeleton
+        )
     if backend == "backtracking":
         return solve_window_ip_backtracking(rounded, hint=hint)
-    if backend == "auto":
-        if _HAVE_MILP:
-            return solve_window_ip_milp(rounded, skeleton=skeleton)
-        return solve_window_ip_backtracking(rounded, hint=hint)  # pragma: no cover
     raise PreconditionError(f"unknown IP backend {backend!r}")

@@ -309,14 +309,12 @@ def execute_cell(
             if tracer.enabled:
                 # Promote the always-on kernel counters into the trace;
                 # telemetry only — the record below never carries them.
+                # (EPTAS solves fold their own counters into the tracer.)
                 counters = (result.stats or {}).get(
                     "kernel", (result.stats or {}).get("dispatch")
                 )
                 if isinstance(counters, dict):
                     tracer.add_counters("kernel", counters)
-                incremental = (result.stats or {}).get("incremental")
-                if isinstance(incremental, dict):
-                    tracer.add_counters("eptas", incremental)
             with tracer.span("sweep.emit"):
                 target = validation_instance(instance, result.schedule)
                 record = RunRecord(

@@ -175,17 +175,22 @@ KERNEL_FAMILIES = {
 #: The EPTAS incremental-vs-rebuild grid (``--suite eptas``): small
 #: instances (the scheme is exponential in 1/(εδ); these are the largest
 #: cells on which the rebuild-per-guess reference stays tractable at
-#: bench repeats).  ``size`` is the class-count knob.  The ``small_jobs``
-#: cells are where guess reuse pays: small sizes round onto coarse unit
-#: grids whose signatures plateau across adjacent makespan guesses, so
-#: the signature memo collapses several window-IP solves into one —
-#: HiGHS dominates wall time, and a skipped solve is the only large win.
-#: ε=1/2 keeps δ (and hence the grid g=εδT) coarse enough to plateau.
+#: bench repeats).  ``size`` is the class-count knob.  The rebuild
+#: reference solves a compression MILP for every guess; the incremental
+#: driver decides guesses by certificate or signature memo and solves
+#: that MILP once, so the race measures the skipped HiGHS solves.  The
+#: ``small_jobs`` cells round onto coarse unit grids whose signatures
+#: plateau across adjacent guesses; ε=1/2 keeps δ (and hence the grid
+#: g=εδT) coarse enough to plateau.  The ``photolithography`` cell is
+#: the fab shift of ``examples/photolithography_fab.py`` (``size`` =
+#: reticles), the largest shape on which the rebuild reference stays at
+#: ~2 s per solve.
 EPTAS_BENCH_CELLS = (
     # (family, machines, size, seed)
     ("uniform", 2, 6, 0),
     ("small_jobs", 2, 8, 0),
     ("small_jobs", 3, 12, 0),
+    ("photolithography", 3, 9, 7),
 )
 EPTAS_BENCH_EPSILON = "1/2"
 EPTAS_BENCH_MODE = "augmentation"
@@ -664,6 +669,17 @@ def _attach_eptas_phases(cell: dict, solve_once) -> None:
         cell["ip_solve_pct"] = round(100.0 * ip_total / solve_total, 1)
 
 
+def _eptas_cell_instance(family: str, machines: int, size: int, seed: int):
+    if family == "photolithography":
+        from repro.workloads import photolithography_shift
+
+        return photolithography_shift(
+            num_reticles=size, num_steppers=machines, hot_fraction=0.3,
+            seed=seed,
+        )
+    return generate(family, machines, size, seed)
+
+
 def run_eptas_suite(
     *,
     cells: Sequence[tuple] = EPTAS_BENCH_CELLS,
@@ -700,7 +716,7 @@ def run_eptas_suite(
     eps = Fraction(epsilon)
     results: List[dict] = []
     for family, machines, size, seed in cells:
-        instance = generate(family, machines, size, seed)
+        instance = _eptas_cell_instance(family, machines, size, seed)
         t_inc: List[float] = []
         t_rebuild: List[float] = []
         result_inc = result_rebuild = None
@@ -711,7 +727,7 @@ def run_eptas_suite(
                 else ("rebuild", "incremental")
             )
             for which in order:
-                fresh = generate(family, machines, size, seed)
+                fresh = _eptas_cell_instance(family, machines, size, seed)
                 if which == "incremental":
                     t0 = time.perf_counter()
                     result_inc = schedule_eptas(
@@ -748,7 +764,7 @@ def run_eptas_suite(
         _attach_eptas_phases(
             cell,
             lambda: schedule_eptas(
-                generate(family, machines, size, seed),
+                _eptas_cell_instance(family, machines, size, seed),
                 epsilon=eps,
                 mode=mode,
             ),

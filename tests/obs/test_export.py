@@ -22,6 +22,7 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.workloads import generate
+from tests.markers import needs_milp
 
 
 def _sample_trace(tmp_path):
@@ -97,7 +98,8 @@ class TestChromeExport:
 
     def test_eptas_solve_shows_per_guess_ip_spans(self, tmp_path):
         # The acceptance criterion: a Chrome export of an EPTAS solve
-        # contains the per-guess window-IP spans.
+        # contains the window-IP spans (the final compression solve
+        # always emits one, whatever the search certified).
         inst = generate("small_jobs", 2, 8, 0)
         path = tmp_path / "eptas.trace.jsonl"
         with trace_scope(path):
@@ -111,8 +113,34 @@ class TestChromeExport:
         _validate_chrome_schema(doc)
         names = [e["name"] for e in doc["traceEvents"] if e["ph"] == "X"]
         assert "eptas.ip_solve" in names
+        assert "eptas.certify" in names
         assert "eptas.classify" in names
         assert "eptas.solve" in names
+
+    @needs_milp
+    def test_ip_solve_span_opens_into_assembly_and_milp(self):
+        inst = generate("small_jobs", 2, 8, 0)
+        tracer = Tracer()
+        previous = set_tracer(tracer)
+        try:
+            repro.solve(
+                inst, algorithm="eptas", epsilon=Fraction(1, 2),
+                ip_backend="milp",
+            )
+        finally:
+            set_tracer(previous)
+        spans = {e["name"]: e for e in tracer.events}
+        solve = spans["eptas.ip_solve"]
+        assert solve["args"]["final_resolve"] is True
+        assemble, call = spans["eptas.ip_assemble"], spans["eptas.ip_milp"]
+        for child in (assemble, call):
+            assert child["depth"] == solve["depth"] + 1
+            assert child["args"]["nvar"] > 0
+            assert child["args"]["rows"] > 0
+            assert child["args"]["nnz"] > 0
+        assert call["args"]["compress"] is True
+        assert call["args"]["mip_node_count"] >= 0
+        assert call["args"]["mip_gap"] >= 0
 
     def test_shard_processes_get_own_pids(self):
         events = [

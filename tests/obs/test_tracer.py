@@ -42,6 +42,10 @@ class TestNullTracer:
         # allocates nothing per call.
         assert NULL_TRACER.span("a") is NULL_TRACER.span("b") is _NULL_SPAN
 
+    def test_null_span_set_is_noop(self):
+        with NULL_TRACER.span("x") as span:
+            span.set(late=1)
+
     def test_null_span_propagates_exceptions(self):
         with pytest.raises(ValueError):
             with NULL_TRACER.span("x"):
@@ -64,6 +68,13 @@ class TestTracer:
         assert names["inner"]["args"] == {"detail": 1}
         assert names["inner"]["ts"] >= names["outer"]["ts"] >= 0
         assert names["outer"]["dur"] >= names["inner"]["dur"] >= 0
+
+    def test_span_set_attaches_late_attributes(self):
+        tracer = Tracer()
+        with tracer.span("solve", early=1) as span:
+            span.set(late=2, early=3)
+        (event,) = tracer.events
+        assert event["args"] == {"early": 3, "late": 2}
 
     def test_span_flags_error_and_propagates(self):
         tracer = Tracer()

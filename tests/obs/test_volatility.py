@@ -116,6 +116,23 @@ class TestTracedSweepTelemetry:
             assert kernel_keys, "no kernel counters promoted by the cells"
 
 
+    def test_eptas_counters_folded_once(self, tmp_path):
+        """A traced sweep cell reports the EPTAS search counters exactly
+        once: the solver folds them in, the cell must not add them
+        again."""
+        from repro.ptas import schedule_eptas
+
+        repo = InstanceRepository.from_families(["uniform"], [2], [5], [0])
+        plan = WorkPlan.from_product(repo, ["eptas"])
+        (ref,) = repo
+        expected = schedule_eptas(ref.instance).stats["incremental"]
+        assert expected["guesses"] > 0
+        with trace_scope(tmp_path / "e.trace.jsonl") as tracer:
+            run_plan(plan, tmp_path / "e.jsonl", repository=repo)
+            assert tracer.counters["eptas.guesses"] == expected["guesses"]
+            assert tracer.counters["eptas.final_resolves"] == 1
+
+
 def test_active_tracer_restored_even_when_sweep_raises(tmp_path):
     before = get_tracer()
     with pytest.raises(FileNotFoundError):

@@ -6,15 +6,17 @@ Three layers:
   answer the parameter-band and class-split queries *identically* to the
   full scans they replace;
 * the warm-start plumbing — hint-ordered backtracking, the MILP
-  constraint-block skeleton, the signature memo — must never change a
-  solver verdict or the final (canonical) assignment;
+  constraint-block skeleton, the signature memo, the wrap-around
+  certificate and its feasibility-only solver fallback — must never
+  change a verdict or the final (canonical) assignment;
 * the full incremental driver must be bit-for-bit the preserved
   rebuild-per-guess reference on whole solves (the equivalence-harness
-  contract), with the augmentation mode validated against the augmented
-  instance.
+  contract), with the certificate on and forced to miss, and with the
+  augmentation mode validated against the augmented instance.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from hypothesis import given, settings
 from repro.core.bounds import lower_bound_int
 from repro.core.errors import InfeasibleError
 from repro.core.validate import validate_schedule
+from repro.ptas import context as context_module
 from repro.ptas.context import (
     GuessContext,
     InstanceProfile,
@@ -44,7 +47,7 @@ from repro.ptas.params import _class_band, choose_params, job_band
 from repro.ptas.simplify import simplify
 from tests.equivalence import assert_same_outcome, run_and_capture
 from tests.markers import needs_milp
-from tests.strategies import instances
+from tests.strategies import instances, synthetic_rounded
 
 EPS = Fraction(1, 2)
 
@@ -259,7 +262,8 @@ class TestGuessContext:
         assert again is first
         assert ctx.counters["guesses"] == 1
         assert ctx.counters["guess_memo_hits"] == 1
-        assert ctx.counters["ip_solves"] == 1
+        # One fresh verdict: a certificate or a solver call.
+        assert ctx.counters["certified"] + ctx.counters["ip_solves"] == 1
 
     def test_signature_reuse_skips_solves(self):
         from repro.core.instance import Instance
@@ -277,9 +281,9 @@ class TestGuessContext:
             if b is not None
         }
         distinct = len(set(sigs.values()))
-        assert ctx.counters["ip_solves"] <= distinct + (
-            len(bundles) - len(sigs)
-        )
+        assert ctx.counters["certified"] + ctx.counters[
+            "ip_solves"
+        ] <= distinct + (len(bundles) - len(sigs))
 
     def test_matches_cold_guess_decisions(self):
         """ctx.decide verdicts equal the context-free cold path for every
@@ -304,8 +308,9 @@ class TestGuessContext:
                 )
 
     def test_finalize_makes_bundle_canonical(self):
-        """A hinted (non-canonical) winning bundle re-solves cold in
-        finalize and then equals the context-free solve exactly."""
+        """The winning bundle (a certificate or hinted solve during the
+        search) re-solves cold in finalize and then equals the
+        context-free solve exactly."""
         from repro.core.instance import Instance
 
         inst = Instance.from_class_sizes(
@@ -320,14 +325,61 @@ class TestGuessContext:
                 bundle = candidate
         assert bundle is not None
         final = ctx.finalize(bundle)
-        assert final.canonical
+        assert ctx.counters["final_resolves"] == 1
         cold = eptas_guess_feasible(
             inst, bundle.T, EPS, "augmentation",
             ip_backend="backtracking",
         )
         assert final.assignment.windows == cold.assignment.windows
-        # Finalizing an already-canonical bundle is a no-op.
-        assert ctx.finalize(final) is final
+        # Finalizing is a cold solve, so it is idempotent.
+        assert ctx.finalize(final).assignment.windows == (
+            final.assignment.windows
+        )
+
+
+class TestCertificateFallback:
+    """Window IPs the wrap-around certificate misses reach the
+    feasibility-only solver, and their verdicts stay exact."""
+
+    @pytest.mark.parametrize(
+        "unit_counts, num_layers, m, feasible",
+        [
+            # Feasible, but the wrap packing misses.
+            ({0: {3: 1}, 1: {3: 1}, 2: {1: 2}}, 4, 2, True),
+            # One class longer than the horizon.
+            ({0: {3: 1, 2: 1}}, 4, 2, False),
+            # More units than machine-layer slots.
+            ({0: {2: 1}, 1: {2: 1}, 2: {1: 1}}, 4, 1, False),
+        ],
+        ids=["wrap-miss", "class-over-horizon", "over-capacity"],
+    )
+    @pytest.mark.parametrize("backend", ["backtracking", "auto"])
+    def test_fixture_reaches_solver(
+        self, monkeypatch, unit_counts, num_layers, m, feasible, backend
+    ):
+        from repro.core.instance import Instance
+
+        inst = Instance.from_class_sizes([[5, 3], [4, 4], [6]], 2)
+        fixture = synthetic_rounded(unit_counts, num_layers, m)
+        monkeypatch.setattr(
+            context_module, "round_instance", lambda *a, **k: fixture
+        )
+        ctx = GuessContext(inst, EPS, "augmentation", ip_backend=backend)
+        bundle = ctx.decide(_guess_range(inst)[-1])
+        assert ctx.counters["certified"] == 0
+        assert ctx.counters["ip_solves"] == 1
+        assert (bundle is not None) == feasible
+        if feasible:
+            assert assignment_satisfies(fixture, bundle.assignment)
+
+    def test_certified_guess_skips_solver(self):
+        from repro.core.instance import Instance
+
+        inst = Instance.from_class_sizes([[5, 3], [4, 4], [6]], 2)
+        ctx = GuessContext(inst, EPS, "augmentation")
+        assert ctx.decide(_guess_range(inst)[-1]) is not None
+        assert ctx.counters["certified"] == 1
+        assert ctx.counters["ip_solves"] == 0
 
 
 class TestIncrementalVsRebuild:
@@ -363,6 +415,37 @@ class TestIncrementalVsRebuild:
                 result.schedule,
             )
 
+    @pytest.mark.parametrize(
+        "backend",
+        ["backtracking", pytest.param("milp", marks=needs_milp)],
+    )
+    @given(inst=instances(max_machines=3, max_classes=5, max_size=10))
+    @settings(max_examples=10, deadline=None)
+    def test_agrees_with_certificate_missing(self, inst, backend):
+        """The solver fallback (hinted backtracking, feasibility-only
+        MILP) is bit-for-bit the rebuild driver too."""
+        from repro.algorithms.reference import reference_eptas
+
+        with mock.patch.object(
+            context_module, "certify_window_ip", return_value=None
+        ):
+            incremental = run_and_capture(
+                lambda i: schedule_eptas(
+                    i, epsilon=EPS, ip_backend=backend
+                ),
+                inst,
+            )
+        rebuild = run_and_capture(
+            lambda i: reference_eptas(i, epsilon=EPS, ip_backend=backend),
+            inst,
+        )
+        assert_same_outcome(
+            incremental, rebuild, context=f"eptas fallback [{backend}]"
+        )
+        if not incremental.raised:
+            counters = incremental.result.stats.get("incremental", {})
+            assert counters.get("certified", 0) == 0
+
     def test_incremental_counters_reported(self):
         from repro.core.instance import Instance
 
@@ -375,4 +458,8 @@ class TestIncrementalVsRebuild:
         counters = result.stats["incremental"]
         assert counters["guesses"] >= 1
         assert counters["ip_solves"] <= counters["guesses"]
+        assert counters["certified"] + counters["ip_solves"] + counters[
+            "signature_hits"
+        ] <= counters["guesses"]
+        assert counters["final_resolves"] == 1
         assert "skeleton_hits" in counters

@@ -9,32 +9,24 @@ from repro.core.bounds import lower_bound_int
 from repro.core.errors import InfeasibleError
 from repro.core.instance import Instance
 from repro.ptas.ip import (
+    assignment_satisfies,
+    certify_window_ip,
     solve_window_ip,
     solve_window_ip_backtracking,
     solve_window_ip_milp,
 )
-from repro.ptas.layers import LayerGrid, RoundedInstance, round_instance
+from repro.ptas.layers import round_instance
 from repro.ptas.params import choose_params
 from repro.ptas.simplify import simplify
 from tests.markers import needs_milp
-from tests.strategies import instances
+from tests.strategies import instances, rounded_instances
+from tests.strategies import synthetic_rounded as _synthetic
 
 
 def _rounded_from(inst, eps=Fraction(1, 2)):
     T = max(lower_bound_int(inst), 1)
     params = choose_params(inst, T, eps)
     return round_instance(simplify(inst, T, params))
-
-
-def _synthetic(unit_counts, num_layers, m):
-    rounded = RoundedInstance(
-        grid=LayerGrid(T=1, g=Fraction(1), num_layers=num_layers),
-        num_machines=m,
-    )
-    rounded.unit_counts = {
-        cid: dict(counts) for cid, counts in unit_counts.items()
-    }
-    return rounded
 
 
 def _check_assignment(rounded, assignment):
@@ -154,3 +146,64 @@ class TestRealInstances:
         rounded = round_instance(simplify(inst, T, params))
         assignment = solve_window_ip(rounded)
         _check_assignment(rounded, assignment)
+
+
+class TestCertificate:
+    """The solver-free wrap-around certificate of the EPTAS search."""
+
+    @given(rounded_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_certificate_is_sound(self, rounded):
+        """Every returned certificate satisfies the IP; whenever the
+        solver proves the IP infeasible, no certificate is returned."""
+        cert = certify_window_ip(rounded)
+        if cert is not None:
+            assert assignment_satisfies(rounded, cert)
+            _check_assignment(rounded, cert)
+        try:
+            solve_window_ip(rounded, compress=False)
+        except InfeasibleError as exc:
+            if "node" in str(exc):
+                return  # backtracking budget exhausted, not a verdict
+            assert cert is None
+
+    def test_certifies_simple_packing(self):
+        rounded = _synthetic({0: {2: 1}, 1: {1: 2}, 2: {3: 1}}, 4, 2)
+        cert = certify_window_ip(rounded)
+        assert cert is not None
+        _check_assignment(rounded, cert)
+
+    def test_feasible_wrap_miss(self):
+        # Rows of 4 layers: {3} | {3} leave one free layer per row, and
+        # the {1, 1} class needs both; the wrap opens a third row.
+        rounded = _synthetic({0: {3: 1}, 1: {3: 1}, 2: {1: 2}}, 4, 2)
+        assert certify_window_ip(rounded) is None
+        _check_assignment(rounded, solve_window_ip(rounded, compress=False))
+
+    def test_class_total_over_horizon(self):
+        rounded = _synthetic({0: {3: 1, 2: 1}}, 4, 2)
+        assert certify_window_ip(rounded) is None
+        with pytest.raises(InfeasibleError):
+            solve_window_ip(rounded, compress=False)
+
+    def test_units_over_capacity(self):
+        rounded = _synthetic({0: {2: 1}, 1: {2: 1}, 2: {1: 1}}, 4, 1)
+        assert certify_window_ip(rounded) is None
+        with pytest.raises(InfeasibleError):
+            solve_window_ip(rounded, compress=False)
+
+    def test_window_longer_than_horizon(self):
+        assert certify_window_ip(_synthetic({0: {5: 1}}, 4, 3)) is None
+
+    def test_empty_demand_certifies_empty(self):
+        cert = certify_window_ip(_synthetic({}, 3, 2))
+        assert cert is not None and cert.windows == {}
+
+
+class TestCompressFlag:
+    @needs_milp
+    def test_feasibility_only_solve_satisfies(self):
+        rounded = _synthetic({0: {2: 2}, 1: {1: 3}, 2: {3: 1}}, 6, 2)
+        for compress in (True, False):
+            assignment = solve_window_ip_milp(rounded, compress=compress)
+            assert assignment_satisfies(rounded, assignment)

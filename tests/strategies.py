@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import hypothesis.strategies as st
 
 from repro.core.instance import Instance
+from repro.ptas.layers import LayerGrid, RoundedInstance
 
 
 @st.composite
@@ -66,3 +69,34 @@ def no_huge_instances(draw, max_machines: int = 5, max_classes: int = 8):
         for _ in range(k)
     ]
     return Instance.from_class_sizes(classes, m)
+
+
+def synthetic_rounded(unit_counts, num_layers, m):
+    """A window IP built directly: ``{class: {units: count}}`` windows
+    on an ``num_layers``-layer grid over ``m`` machines."""
+    rounded = RoundedInstance(
+        grid=LayerGrid(T=1, g=Fraction(1), num_layers=num_layers),
+        num_machines=m,
+    )
+    rounded.unit_counts = {
+        cid: dict(counts) for cid, counts in unit_counts.items()
+    }
+    return rounded
+
+
+@st.composite
+def rounded_instances(draw):
+    """Random synthetic window IPs: a few classes of short windows on a
+    small grid, some longer than the horizon or over capacity."""
+    L = draw(st.integers(1, 10))
+    m = draw(st.integers(1, 4))
+    unit_counts = {}
+    for cid in range(draw(st.integers(1, 5))):
+        counts = draw(
+            st.dictionaries(
+                st.integers(1, L + 1), st.integers(1, 3), max_size=3
+            )
+        )
+        if counts:
+            unit_counts[cid] = counts
+    return synthetic_rounded(unit_counts, L, m)

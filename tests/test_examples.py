@@ -10,22 +10,8 @@ EXAMPLES = sorted(
     (Path(__file__).resolve().parent.parent / "examples").glob("*.py")
 )
 
-#: Examples that solve large instances end to end (≫ 10 s each) — run
-#: in the slow CI tier.
-HEAVY_EXAMPLES = {"photolithography_fab.py"}
 
-
-@pytest.mark.parametrize(
-    "script",
-    [
-        pytest.param(
-            path,
-            marks=[pytest.mark.slow] if path.name in HEAVY_EXAMPLES else [],
-        )
-        for path in EXAMPLES
-    ],
-    ids=lambda p: p.name,
-)
+@pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.name)
 def test_example_runs(script):
     proc = subprocess.run(
         [sys.executable, str(script)],
